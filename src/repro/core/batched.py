@@ -266,8 +266,9 @@ class BatchedRemovalPlan:
         the true removal matrix — and every cost model's row aggregate is
         monotone under row dominance, the contract in
         :mod:`repro.core.costmodel`), with equality whenever ``w'`` is
-        unaffected by the removal.  ``base_plus1`` (= base + 1) and the
-        ``(n, n)`` scratch ``buf`` come from the scan loop, so the bound
+        unaffected by the removal.  ``base_plus1`` (= base + 1, usually
+        :func:`narrow_plus1`'s narrowed copy) and the ``(n, n)`` scratch
+        ``buf`` of the same dtype come from the scan loop, so the bound
         allocates nothing matrix-sized per edge.
         """
         model = (
@@ -275,7 +276,7 @@ class BatchedRemovalPlan:
             if isinstance(objective, CostModel)
             else resolve_cost_model(objective, self.graph.n)
         )
-        dv = self.endpoint_row(i, v)
+        dv = narrow_row(self.endpoint_row(i, v), base_plus1)
         np.minimum(dv[None, :], base_plus1, out=buf)
         costs = model.candidate_costs(v, buf)
         costs[v] = math.inf
@@ -327,6 +328,51 @@ class BatchedRemovalPlan:
             bound,
             affected=affected,
         )
+
+
+#: narrow bound-operand dtype -> its largest value, narrowest first.
+_NARROW_MAX = {np.dtype(np.uint8): 0xFF, np.dtype(np.uint16): 0xFFFF}
+
+
+def bound_dtype(n: int, top: int) -> np.dtype:
+    """Narrowest operand dtype of the bound scan for entries ``<= top``.
+
+    uint8 or uint16 when ``top`` fits and an ``n``-entry row sum stays below
+    2³² (the candidate-cost accumulator is uint32); int64 otherwise — in
+    particular whenever ``top`` carries the :data:`INT_INF` sentinel.
+    """
+    if n * top < 1 << 32:
+        for dtype, largest in _NARROW_MAX.items():
+            if top <= largest:
+                return dtype
+    return np.dtype(np.int64)
+
+
+def narrow_plus1(lifted: np.ndarray) -> np.ndarray:
+    """``lifted + 1`` in the narrowest dtype :func:`bound_dtype` allows.
+
+    The bound scan's shared operand.  Every bound entry ``min(dv[u],
+    base[w', u] + 1)`` is at most ``base + 1``, so the narrowed scan sees
+    exactly the int64 values; the sentinel never enters a narrow matrix
+    (a disconnected base keeps int64).
+    """
+    top = int(lifted.max()) + 1 if lifted.size else 1
+    out = np.empty(lifted.shape, dtype=bound_dtype(lifted.shape[0], top))
+    np.add(lifted, 1, out=out, casting="unsafe")
+    return out
+
+
+def narrow_row(row: np.ndarray, base_plus1: np.ndarray) -> np.ndarray:
+    """``row`` clipped and cast to ``base_plus1``'s dtype, O(n).
+
+    Clipping to the dtype maximum changes no ``min(row, base_plus1)`` entry
+    (``base_plus1`` never exceeds it), so a bridge's :data:`INT_INF` entries
+    drop out exactly as they do in int64.
+    """
+    largest = _NARROW_MAX.get(base_plus1.dtype)
+    if largest is None:
+        return row
+    return np.minimum(row, largest).astype(base_plus1.dtype)
 
 
 def exact_costs_from_bound(
@@ -436,8 +482,8 @@ def scan_swap_violations(
     """
     n = graph.n
     model = resolve_cost_model(objective, n)
-    base_plus1 = lifted + 1
-    buf = np.empty((n, n), dtype=np.int64)
+    base_plus1 = narrow_plus1(lifted)
+    buf = np.empty_like(base_plus1)
     for lo, plan in _plan_blocks(graph, lifted, edges, pred_counts):
         for i, (a, b) in enumerate(plan.edges):
             check_deadline(deadline)
@@ -481,9 +527,8 @@ def scan_gap(
     best is no better than its current cost, in which case it contributes
     nothing to the gap; survivors use exact costs.
     """
-    n = graph.n
-    base_plus1 = lifted + 1
-    buf = np.empty((n, n), dtype=np.int64)
+    base_plus1 = narrow_plus1(lifted)
+    buf = np.empty_like(base_plus1)
     gap = 0.0
     for _, plan in _plan_blocks(graph, lifted, edges, pred_counts):
         for i, (a, b) in enumerate(plan.edges):
@@ -576,9 +621,9 @@ def best_swap_scan(
       ``mode="repair"``) and re-evaluate exactly.
 
     ``lifted`` is the lifted base matrix of ``graph``; ``base_plus1``
-    (= ``lifted + 1``) and the ``(n, n)`` int64 scratch ``buf`` are optional
-    caller-owned scratch so a dynamics engine can amortize them across
-    activations.
+    (:func:`narrow_plus1` of ``lifted``) and the ``(n, n)`` scratch ``buf``
+    of the same dtype are optional caller-owned scratch so a dynamics
+    engine can amortize them across activations.
     """
     n = graph.n
     check_deadline(deadline)
@@ -591,12 +636,12 @@ def best_swap_scan(
     if not neighbors:
         return BestResponse(None, before, before, False)
     if base_plus1 is None:
-        base_plus1 = lifted + 1
+        base_plus1 = narrow_plus1(lifted)
     if buf is None:
-        buf = np.empty((n, n), dtype=np.int64)
+        buf = np.empty_like(base_plus1)
 
     # Level 0: one bound pass shared by every incident drop.
-    np.minimum(lifted[v][None, :], base_plus1, out=buf)
+    np.minimum(narrow_row(lifted[v], base_plus1)[None, :], base_plus1, out=buf)
     costs0 = model.candidate_costs(v, buf)
     costs0[v] = math.inf
     if not prefer_deletions_on_tie and float(np.min(costs0)) >= before:
@@ -655,7 +700,7 @@ def best_swap_scan(
             continue  # the incumbent tightened past this edge's gate
         mask = masks[i]
         # Level 1: the edge-specific bound off the mover's exact row.
-        np.minimum(dv[None, :], base_plus1, out=buf)
+        np.minimum(narrow_row(dv, base_plus1)[None, :], base_plus1, out=buf)
         bound = model.candidate_costs(v, buf)
         bound[v] = math.inf
         raw = bound.copy()  # unmasked, for the exact patch path
@@ -728,8 +773,8 @@ def certify_at_rest(
     # deletion-criticality) into the same block pass as the violation
     # scan, so each edge is planned exactly once.
     degrees = np.diff(graph.indptr)
-    base_plus1 = lifted + 1
-    buf = np.empty((n, n), dtype=np.int64)
+    base_plus1 = narrow_plus1(lifted)
+    buf = np.empty_like(base_plus1)
     for _, plan in _plan_blocks(graph, lifted, edges, pred_counts):
         for i, (a, b) in enumerate(plan.edges):
             check_deadline(deadline)

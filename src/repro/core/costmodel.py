@@ -25,7 +25,11 @@ A cost model answers three questions, always from **lifted** distance rows
    its distance row (vectorized over the base matrix);
 2. ``candidate_costs(v, candidate)`` — agent ``v``'s cost for each row of a
    candidate matrix (row ``w'`` = ``v``'s distances after re-targeting the
-   dropped edge to ``w'``);
+   dropped edge to ``w'``).  The batched kernel's bound matrices arrive
+   *narrowed* — uint8/uint16 rows holding no sentinel
+   (:func:`repro.core.batched.narrow_plus1`) — so implementations must
+   aggregate wide (sums in uint32 or wider, never in the input dtype) and
+   return the same floats the int64 rows would give;
 3. ``target_mask(graph, v, w)`` — which add-targets are *legal* for ``v``
    when dropping ``v–w`` (``None`` = all; this is where budget constraints
    live).
@@ -131,8 +135,10 @@ class CostModel:
     def candidate_costs(self, v: int, candidate: np.ndarray) -> np.ndarray:
         """Float costs of agent ``v`` for each row of ``candidate``.
 
-        Must be monotone per row (see the module docstring's contract) and
-        lift to ``math.inf`` exactly when :meth:`row_cost` would.
+        Must be monotone per row (see the module docstring's contract),
+        lift to ``math.inf`` exactly when :meth:`row_cost` would, and accept
+        narrowed unsigned rows (uint8/uint16, no sentinel), aggregating them
+        wide.
         """
         raise NotImplementedError
 
@@ -191,11 +197,18 @@ class CostModel:
         return f"{type(self).__name__}({self.spec!r})"
 
 
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """Row sums, accumulated in uint32 for narrowed (≤ 2-byte) rows."""
+    return rows.sum(axis=1, dtype=np.uint32 if rows.itemsize <= 2 else None)
+
+
 class _PlainRows(CostModel):
     """Shared full-row sum/max aggregation (Sum, Max, Budget).
 
     The arithmetic here is byte-for-byte the historical ``objective=`` code:
-    int64 aggregate, float cast, ``raw >= INT_INF -> inf``.
+    int64 aggregate (uint32 for narrowed rows — exact, as they hold no
+    sentinel and their row sums stay below 2³²), float cast,
+    ``raw >= INT_INF -> inf``.
     """
 
     def base_costs(self, lifted: np.ndarray) -> np.ndarray:
@@ -207,7 +220,7 @@ class _PlainRows(CostModel):
 
     def candidate_costs(self, v: int, candidate: np.ndarray) -> np.ndarray:
         raw = (
-            candidate.sum(axis=1)
+            _row_sums(candidate)
             if self.kind == "sum"
             else candidate.max(axis=1)
         )
@@ -300,10 +313,10 @@ class InterestCost(CostModel):
         if sel.shape[1] == 0:
             raw = np.zeros(candidate.shape[0], dtype=np.int64)
         else:
-            raw = sel.sum(axis=1) if self.kind == "sum" else sel.max(axis=1)
-        raw = np.minimum(raw, INT_INF)
+            raw = _row_sums(sel) if self.kind == "sum" else sel.max(axis=1)
+        # No clamp to INT_INF: a raw value that reaches it needs a sentinel
+        # entry, and the connectivity lift sends that row to inf anyway.
         costs = raw.astype(np.float64)
-        costs[raw >= INT_INF] = math.inf
         costs[(candidate >= INT_INF).any(axis=1)] = math.inf
         return costs
 

@@ -19,11 +19,13 @@ rebuilt CSR graph plus a fresh scipy APSP per candidate edge); the
   cached matrix, sharing all of the above.
 
 The engine reports which matrix rows each applied swap changed; the dynamics
-layer uses that as its dirty-vertex signal.  Matrices use the lifted int64
-convention (:data:`repro.core.costs.INT_INF` for unreachable pairs)
-throughout, and the old rebuild/copy paths remain available as
-cross-validation oracles (``mode="rebuild"`` / ``mode="oracle"`` in
-:mod:`repro.core.swap_eval` and :mod:`repro.core.best_response`).
+layer uses that as its dirty-vertex signal.  The distance matrix uses the
+lifted int64 convention (:data:`repro.core.costs.INT_INF` for unreachable
+pairs); only the batched kernel's derived ``dm + 1`` operand and its scratch
+are narrowed to uint8/uint16 (:func:`repro.core.batched.narrow_plus1`).  The
+old rebuild/copy paths remain available as cross-validation oracles
+(``mode="rebuild"`` / ``mode="oracle"`` in :mod:`repro.core.swap_eval` and
+:mod:`repro.core.best_response`).
 """
 
 from __future__ import annotations
@@ -121,13 +123,18 @@ class DistanceEngine:
     def _kernel_scratch(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached ``(dm + 1, (n, n) workspace)`` for the batched kernel.
 
-        ``dm + 1`` is invalidated by :meth:`apply_swap`; the workspace is
-        overwritten by every kernel call and persists across swaps.
+        ``dm + 1`` (narrowed, :func:`~repro.core.batched.narrow_plus1`) is
+        invalidated by :meth:`apply_swap`; the workspace is overwritten by
+        every kernel call and persists across swaps until a swap moves the
+        operand to another dtype.
         """
+        from .batched import narrow_plus1
+
         if self._base_plus1 is None:
-            self._base_plus1 = self._dm + 1
-        if self._scratch is None:
-            self._scratch = np.empty((self.n, self.n), dtype=np.int64)
+            self._base_plus1 = narrow_plus1(self._dm)
+        plus1 = self._base_plus1
+        if self._scratch is None or self._scratch.dtype != plus1.dtype:
+            self._scratch = np.empty_like(plus1)
         return self._base_plus1, self._scratch
 
     def is_connected(self) -> bool:

@@ -466,6 +466,8 @@ def is_equilibrium(
     skips the audit's APSP when the caller already holds the matrix.
     """
     model = resolve_cost_model(objective, graph.n)
+    if model.requires_deletion_criticality and base_dm is None:
+        base_dm = _prepare(graph)  # one APSP for both scans
     if (
         find_swap_violation(
             graph, model, workers=workers, mode=mode, base_dm=base_dm,
@@ -622,12 +624,7 @@ def is_max_equilibrium(
     graph: CSRGraph, *, workers: int = 1, mode: AuditMode = "repair"
 ) -> bool:
     """The paper's max equilibrium: swap-stable (max) **and** deletion-critical."""
-    if find_max_swap_violation(graph, workers=workers, mode=mode) is not None:
-        return False
-    return (
-        find_deletion_criticality_violation(graph, workers=workers, mode=mode)
-        is None
-    )
+    return is_equilibrium(graph, "max", workers=workers, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -641,13 +638,18 @@ def find_insertion_violation(graph: CSRGraph) -> Violation | None:
     inserted edge incident to ``u`` can only be used as the first step of a
     shortest path from ``u``.
     """
+    from .batched import narrow_plus1, narrow_row
+
     lifted = _prepare(graph)
     base_ecc = lifted.max(axis=1)
     n = graph.n
     adjacency = [set(int(x) for x in graph.neighbors(u)) for u in range(n)]
+    base_plus1 = narrow_plus1(lifted)
+    candidate = np.empty_like(base_plus1)
     for u in range(n):
         # Row v of `candidate` is the distance vector of u in G + uv.
-        candidate = np.minimum(lifted[u][None, :], lifted + 1)
+        row = narrow_row(lifted[u], base_plus1)
+        np.minimum(row[None, :], base_plus1, out=candidate)
         new_ecc = candidate.max(axis=1)
         for v in np.nonzero(new_ecc < base_ecc[u])[0]:
             v = int(v)

@@ -61,6 +61,24 @@ class TestBaseDmPassThrough:
         assert is_equilibrium(g, "max", base_dm=dm) == is_equilibrium(g, "max")
         assert is_equilibrium(g, "sum", base_dm=dm) == is_equilibrium(g, "sum")
 
+    @pytest.mark.parametrize("mode", ["repair", "batched"])
+    def test_max_audit_runs_one_apsp(self, monkeypatch, mode):
+        # The swap scan and the deletion scan share one base matrix.
+        from repro.core import equilibrium, is_equilibrium
+
+        calls = []
+        original = equilibrium.distance_matrix
+
+        def counting(graph):
+            calls.append(graph.n)
+            return original(graph)
+
+        monkeypatch.setattr(equilibrium, "distance_matrix", counting)
+        g = rotated_torus(4)
+        assert is_equilibrium(g, "max", mode=mode)
+        assert is_max_equilibrium(g, mode=mode)
+        assert calls == [g.n, g.n]
+
     def test_disconnected_base_dm_raises(self):
         from repro.core import find_swap_violation, lift_distances
         from repro.graphs import distance_matrix
