@@ -6,6 +6,7 @@ insertion-stable / k-insertion), best responses, and the dynamics engine
 that discovers equilibria empirically.
 """
 
+from ..io.hashing import graph_fingerprint
 from .best_response import BestResponse, best_swap, first_improving_swap
 from .census import CensusRecord, census_to_rows, run_census, seed_graph
 from .costmodel import (
@@ -56,7 +57,6 @@ from .swap_eval import (
 )
 from .trajcensus import (
     TrajectoryRecord,
-    graph_fingerprint,
     run_trajectory_census,
     trajectory_census_to_rows,
     trajectory_sweep,

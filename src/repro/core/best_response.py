@@ -13,17 +13,17 @@ means an agent strictly prefers deleting an edge whose removal leaves its
 local diameter unchanged.  Sum agents never face this tie (removing an edge
 strictly increases the mover's sum through the lost unit-distance endpoint).
 
-:func:`best_swap` is engine-aware: by default it derives every per-neighbour
-removal matrix from one cached base APSP (``mode="repair"``), or reuses a
-long-lived :class:`~repro.core.engine.DistanceEngine` maintained by the
-dynamics loop (``engine=...``).  ``mode="batched"`` routes through the
-bound-then-verify per-vertex kernel (:func:`repro.core.batched.
+:func:`best_swap` derives every per-neighbour removal matrix from one
+cached base APSP by default (``mode="repair"``).  ``mode="batched"`` routes
+through the bound-then-verify per-vertex kernel (:func:`repro.core.batched.
 best_swap_scan`, DESIGN.md §8) — most activations are certified move-free
 from one aggregation pass over the base matrix, with exact removal
-matrices materialized only for drops whose optimistic bound survives.
-``mode="oracle"`` keeps the seed behaviour — a fresh APSP per incident
-edge — for cross-validation; all paths produce bit-identical responses,
-tie-breaking included.
+matrices materialized only for drops whose optimistic bound survives; it is
+also what the dynamics engine runs
+(:meth:`~repro.core.engine.DistanceEngine.best_swap`).  ``mode="oracle"``
+keeps the seed behaviour — a fresh APSP per incident edge — as the test
+reference; all paths produce bit-identical responses, tie-breaking
+included.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ def best_swap(
     objective: "Objective | str | CostModel" = "sum",
     *,
     prefer_deletions_on_tie: bool | None = None,
-    engine=None,
     mode: BestSwapMode = "repair",
     base_dm: np.ndarray | None = None,
     deadline: "float | None" = None,
@@ -106,28 +105,24 @@ def best_swap(
        toward deletion-criticality;
     3. otherwise, no move.
 
-    ``engine`` (a :class:`~repro.core.engine.DistanceEngine` for ``graph``)
-    reuses its cached matrix; otherwise ``mode`` picks between one base APSP
-    shared across incident edges (``"repair"``), the bound-then-verify
-    per-vertex kernel (``"batched"``), and the seed oracle path of a fresh
-    APSP per incident edge (``"oracle"``).  A caller that already holds the
-    distance matrix of ``graph`` (audit loops, census probes, long-lived
-    engines) can pass it as ``base_dm`` — raw int32 or lifted — and the
-    repair/batched modes skip the APSP recomputation entirely; an
-    already-lifted ``base_dm`` is used by reference, without even the n×n
-    lifting copy.  ``deadline`` (absolute ``time.monotonic()`` instant)
-    bounds the scan: it is checked per incident edge and raises
-    :class:`~repro.errors.DeadlineExceeded` once spent.
+    ``mode`` picks between one base APSP shared across incident edges
+    (``"repair"``), the bound-then-verify per-vertex kernel
+    (``"batched"``), and the seed oracle path of a fresh APSP per incident
+    edge (``"oracle"``).  A caller that already holds the distance matrix of
+    ``graph`` (audit loops, census probes, long-lived engines) can pass it
+    as ``base_dm`` — raw int32 or lifted — and the repair/batched modes
+    skip the APSP recomputation entirely; an already-lifted ``base_dm`` is
+    used by reference, without even the n×n lifting copy.  ``deadline``
+    (absolute ``time.monotonic()`` instant) bounds the scan: it is checked
+    per incident edge and raises :class:`~repro.errors.DeadlineExceeded`
+    once spent.
     """
     check_deadline(deadline)
     model = resolve_cost_model(objective, graph.n)
     if prefer_deletions_on_tie is None:
         prefer_deletions_on_tie = model.prefer_deletions_on_tie
     removal: Callable[[int], np.ndarray]
-    if engine is not None:
-        before = model.row_cost(v, engine.dm[v])
-        removal = lambda w: engine.removal_matrix(v, w)  # noqa: E731
-    elif mode == "batched":
+    if mode == "batched":
         # Deferred: repro.core.batched imports this module for BestResponse.
         from .batched import best_swap_scan
 

@@ -145,8 +145,11 @@ def _census_task(task: tuple) -> CensusRecord:
     final = result.graph
     verified: bool | None = None
     if verify and result.converged:
+        # The endpoint audit rides the dynamics engine's own matrix —
+        # verifying a converged trajectory never recomputes the APSP.
         verified = is_equilibrium(
-            final, model, workers=verify_workers, mode=audit_mode
+            final, model, workers=verify_workers, mode=audit_mode,
+            base_dm=result.final_dm,
         )
     return CensusRecord(
         n=n,
@@ -239,7 +242,8 @@ def run_census(
     ``verify`` re-checks every converged terminal graph with the exact
     equilibrium auditor (``audit_mode`` selects its kernel; the default is
     the batched one) — the census is only evidence if the endpoints really
-    are equilibria.  ``verify_workers`` chunks each audit's edge loop
+    are equilibria.  The audit reuses the dynamics engine's final distance
+    matrix, so it adds no APSP.  ``verify_workers`` chunks each audit's edge loop
     across processes (see :func:`repro.core.equilibrium.find_sum_violation`).
 
     ``workers > 1`` shards whole *trajectories* across the persistent

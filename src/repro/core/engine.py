@@ -1,30 +1,31 @@
 """The incremental distance engine — one APSP, everything else derived.
 
-Every audit and every dynamics activation in this library ultimately asks
-distance questions about graphs that differ from a known base graph by one or
-two edges.  The seed implementation answered each question from scratch (a
-rebuilt CSR graph plus a fresh scipy APSP per candidate edge); the
-:class:`DistanceEngine` answers them from a cached base matrix:
+Every dynamics activation asks distance questions about graphs that differ
+from a known base graph by one or two edges.  The seed implementation
+answered each question from scratch (a rebuilt CSR graph plus a fresh scipy
+APSP per candidate edge); the :class:`DistanceEngine` answers them from a
+cached base matrix:
 
-* **removal rows** — :meth:`removal_matrix` derives the APSP of ``G − e`` via
-  :func:`repro.graphs.removal_matrix_repair`: exact affected-source detection
-  plus a seeded partial BFS per affected row, no graph rebuild, no scipy;
 * **applied swaps** — :meth:`apply_swap` keeps the matrix current across
-  dynamics moves: the dropped edge is handled by row repair, the added edge
-  by the exact single-insertion min-plus closure
+  dynamics moves: the dropped edge is handled by row repair
+  (:func:`repro.graphs.removal_matrix_repair`: exact affected-source
+  detection plus a seeded partial BFS per affected row, no graph rebuild,
+  no scipy), the added edge by the exact single-insertion min-plus closure
   ``d'(x, y) = min(d(x, y), d(x, v) + 1 + d(v', y), d(x, v') + 1 + d(v, y))``
   (an inserted edge appears at most once on any shortest path), so a move
   costs O(affected + n²) instead of a full APSP;
-* **best responses** — :meth:`best_swap` evaluates an agent against the
-  cached matrix, sharing all of the above.
+* **best responses** — :meth:`best_swap` runs the bound-then-verify
+  per-vertex kernel (:func:`repro.core.batched.best_swap_scan`) against the
+  cached matrix, with the engine's ``dm + 1`` operand and workspace reused
+  across activations.
 
 The engine reports which matrix rows each applied swap changed; the dynamics
 layer uses that as its dirty-vertex signal.  The distance matrix uses the
 lifted int64 convention (:data:`repro.core.costs.INT_INF` for unreachable
 pairs); only the batched kernel's derived ``dm + 1`` operand and its scratch
 are narrowed to uint8/uint16 (:func:`repro.core.batched.narrow_plus1`).  The
-old rebuild/copy paths remain available as cross-validation oracles
-(``mode="rebuild"`` / ``mode="oracle"`` in :mod:`repro.core.swap_eval` and
+seed rebuild/copy paths remain as test references (``mode="rebuild"`` /
+``mode="oracle"`` in :mod:`repro.core.swap_eval` and
 :mod:`repro.core.best_response`).
 """
 
@@ -41,13 +42,13 @@ from ..graphs.repair import (
     removal_affected_sources,
     removal_matrix_repair,
 )
-from .costs import INT_INF, lift_distances
+from .batched import best_swap_scan, narrow_plus1
+from .costs import lift_distances
 from .moves import Swap
 
 __all__ = ["DistanceEngine"]
 
 Objective = Literal["sum", "max"]
-BestSwapMode = Literal["incremental", "batched"]
 
 
 class DistanceEngine:
@@ -128,49 +129,12 @@ class DistanceEngine:
         every kernel call and persists across swaps until a swap moves the
         operand to another dtype.
         """
-        from .batched import narrow_plus1
-
         if self._base_plus1 is None:
             self._base_plus1 = narrow_plus1(self._dm)
         plus1 = self._base_plus1
         if self._scratch is None or self._scratch.dtype != plus1.dtype:
             self._scratch = np.empty_like(plus1)
         return self._base_plus1, self._scratch
-
-    def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        return bool((self._dm[0] < INT_INF).all())
-
-    def cost(self, v: int, objective: "Objective | str" = "sum") -> float:
-        """The agent cost of ``v`` in the current graph (``inf`` if disconnected).
-
-        ``objective`` accepts any cost model or spec string
-        (:mod:`repro.core.costmodel`); the historical ``"sum"``/``"max"``
-        strings behave exactly as before.
-        """
-        from .costmodel import resolve_cost_model
-
-        return resolve_cost_model(objective, self.n).row_cost(v, self._dm[v])
-
-    def sum_costs(self) -> np.ndarray:
-        """Lifted int64 vector of per-vertex sum costs."""
-        return self._dm.sum(axis=1)
-
-    def eccentricities(self) -> np.ndarray:
-        """Lifted int64 vector of per-vertex eccentricities."""
-        return self._dm.max(axis=1)
-
-    # ------------------------------------------------------------------
-    # Derived matrices
-    # ------------------------------------------------------------------
-    def removal_matrix(self, a: int, b: int) -> np.ndarray:
-        """Lifted APSP of the current graph minus edge ``{a, b}``.
-
-        Copy-on-write against the base matrix: only rows the deletion can
-        change are recomputed (by seeded partial BFS).
-        """
-        return removal_matrix_repair(self.graph, self._dm, (a, b))
 
     # ------------------------------------------------------------------
     # Mutation
@@ -221,41 +185,25 @@ class DistanceEngine:
         objective: Objective = "sum",
         *,
         prefer_deletions_on_tie: bool | None = None,
-        mode: BestSwapMode = "incremental",
     ):
         """Exact best response of ``v``, computed against the cached matrix.
 
         Identical in outcome (including tie-breaking) to the oracle
-        :func:`repro.core.best_response.best_swap`.  ``mode="batched"``
-        routes through the bound-then-verify per-vertex kernel
-        (:func:`repro.core.batched.best_swap_scan`) with the engine's
-        cached ``dm + 1`` / workspace scratch — same response, and most
-        activations certified move-free without materializing a single
-        removal matrix.
+        :func:`repro.core.best_response.best_swap`: the bound-then-verify
+        per-vertex kernel (:func:`repro.core.batched.best_swap_scan`) with
+        the engine's cached ``dm + 1`` / workspace scratch certifies most
+        activations move-free without materializing a single removal
+        matrix.
         """
-        from .best_response import best_swap
-
-        if mode == "batched":
-            from .batched import best_swap_scan
-
-            base_plus1, buf = self._kernel_scratch()
-            return best_swap_scan(
-                self.graph,
-                v,
-                objective,
-                self._dm,
-                prefer_deletions_on_tie=prefer_deletions_on_tie,
-                base_plus1=base_plus1,
-                buf=buf,
-            )
-        if mode != "incremental":
-            raise GraphError(f"unknown engine best_swap mode {mode!r}")
-        return best_swap(
+        base_plus1, buf = self._kernel_scratch()
+        return best_swap_scan(
             self.graph,
             v,
             objective,
+            self._dm,
             prefer_deletions_on_tie=prefer_deletions_on_tie,
-            engine=self,
+            base_plus1=base_plus1,
+            buf=buf,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

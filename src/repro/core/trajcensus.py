@@ -32,7 +32,7 @@ Execution and persistence reuse the library's hardened infrastructure:
   ``resume=True`` picks an interrupted fleet back up losslessly and a
   changed configuration raises instead of mixing games.
 
-``scripts/trajectory_fleet.py`` is the command-line fleet runner; the
+``repro experiment run trajectory`` is the command-line fleet runner; the
 ``dynamics-census`` CLI experiment renders aggregate tables.
 """
 
@@ -57,7 +57,6 @@ from .equilibrium import is_equilibrium
 __all__ = [
     "TRAJ_CONFIG_KEY",
     "TrajectoryRecord",
-    "graph_fingerprint",
     "run_trajectory_census",
     "trajectory_census_to_rows",
     "trajectory_experiment",
@@ -281,14 +280,12 @@ def run_trajectory_census(
     model-aware equilibrium checker (``audit_mode`` selects the kernel,
     and the audit reuses the dynamics engine's final distance matrix).
     ``engine_mode`` selects the dynamics engine — the default ``"batched"``
-    bound-then-verify kernel, ``"incremental"``, or the seed ``"oracle"``;
-    like ``workers`` it is an execution detail: the engine-backed modes
-    produce bit-identical records and resume each other's streams freely.
-    The oracle path replays the same trajectories but counts activations
-    by full sweeps, so only its ``activations`` column differs — the
-    stream header therefore records the *accounting* (``"engine"`` vs
+    bound-then-verify kernel, or the seed ``"oracle"`` test reference.
+    The oracle path counts activations by full sweeps instead of dirty-set
+    skips, so the stream header records the *accounting* (``"engine"`` vs
     ``"oracle"``), and resuming across that boundary raises instead of
-    silently mixing incompatible activation counts.
+    silently mixing incompatible activation counts.  Streams written by
+    any earlier engine-backed mode carry ``"engine"`` and resume here.
     ``workers > 1`` shards trajectories over the persistent pool with the
     record list bit-identical to the serial run for any worker count.
     ``jsonl_path`` streams records in record order through the shared
@@ -376,9 +373,9 @@ def trajectory_experiment(
         "max_steps": max_steps,
         "verify": verify,
         "audit_mode": audit_mode,
-        # Not engine_mode itself: incremental/batched records are
-        # bit-identical and interchangeable; only the oracle path's
-        # activation accounting differs.
+        # Not engine_mode itself: every engine-backed mode, past or
+        # present, writes "engine"; only the oracle path's activation
+        # accounting differs.
         "activation_accounting": (
             "oracle" if engine_mode == "oracle" else "engine"
         ),

@@ -4,8 +4,8 @@
 (:mod:`repro.core.trajcensus`) as the terminal-graph identity; the
 equilibrium-audit service's content-addressed result cache (DESIGN.md §10)
 keys on the same digest, and a cache key must not import the census layer —
-so the function lives here, at the bottom of the io stack, and the census
-re-exports it.
+so the function lives here, at the bottom of the io stack (``repro.core``
+and ``repro.io`` both export it from here).
 
 Stability is the whole point: fingerprints are **persisted** — in trajectory
 JSONL records and as result-cache keys on disk — so the digest algorithm is

@@ -44,6 +44,50 @@ def edge_lists(draw, max_n: int = 12):
     return n, chosen
 
 
+@st.composite
+def near_trees(draw, min_n: int = 3, max_n: int = 14):
+    """A random tree plus up to three chords."""
+    tree = draw(trees(min_n=min_n, max_n=max_n))
+    n = tree.n
+    present = {tuple(e) for e in tree.edges().tolist()}
+    absent = [
+        (u, v) for u in range(n) for v in range(u + 1, n)
+        if (u, v) not in present
+    ]
+    chords = draw(
+        st.lists(st.sampled_from(absent), unique=True, max_size=3)
+        if absent
+        else st.just([])
+    )
+    return CSRGraph(n, sorted(present | set(chords)))
+
+
+@st.composite
+def dense_graphs(draw, min_n: int = 4, max_n: int = 12):
+    """A connected G(n, m) with at least 60% of all possible edges."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    full = n * (n - 1) // 2
+    low = max(n - 1, (6 * full) // 10)
+    m = draw(st.integers(min_value=low, max_value=full))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    return random_connected_gnm(n, m, seed)
+
+
+@st.composite
+def specs(draw) -> str:
+    """A cost-model spec with random parameters."""
+    kind = draw(st.sampled_from(["sum", "max"]))
+    family = draw(st.sampled_from(["plain", "interest", "budget"]))
+    if family == "interest":
+        k = draw(st.integers(min_value=1, max_value=5))
+        seed = draw(st.integers(min_value=0, max_value=99))
+        return f"interest-{kind}:k={k},seed={seed}"
+    if family == "budget":
+        cap = draw(st.integers(min_value=1, max_value=5))
+        return f"budget-{kind}:cap={cap}"
+    return kind
+
+
 # ---------------------------------------------------------------------------
 # Deterministic cross-validation battery
 # ---------------------------------------------------------------------------

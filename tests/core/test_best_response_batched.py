@@ -3,10 +3,10 @@
 The ISSUE-5 exactness contract: ``best_swap(mode="batched")`` — the
 bound-then-verify per-vertex kernel — must agree *exactly* (swap, costs,
 tie-breaking, neutral-deletion behaviour) with ``mode="repair"``, the
-engine closure path, and the seed ``mode="oracle"`` across the 216-graph
-battery and all four cost-model families; :func:`certify_at_rest` must
-certify a graph move-free exactly when every vertex's best response is a
-no-op.  The satellites ride along: an already-lifted ``base_dm`` must not
+engine's cached-scratch path, and the seed ``mode="oracle"`` across the
+216-graph battery and all four cost-model families; :func:`certify_at_rest`
+must certify a graph move-free exactly when every vertex's best response is
+a no-op.  The satellites ride along: an already-lifted ``base_dm`` must not
 be copied per activation, and ``first_improving_swap`` must skip the
 legality mask for unconstrained models without touching the rng stream.
 """
@@ -69,13 +69,13 @@ class TestKernelOracle:
             assert _responses_equal(oracle, batched), (idx, spec, v)
 
     @pytest.mark.parametrize("idx", range(2, len(BATTERY), 13))
-    def test_engine_batched_mode_matches_engine_incremental(self, idx):
+    def test_engine_matches_repair_all_models(self, idx):
         g = BATTERY[idx]
         engine = DistanceEngine(g)
         for spec in MODELS:
             for v in range(g.n):
-                a = engine.best_swap(v, spec)
-                b = engine.best_swap(v, spec, mode="batched")
+                a = best_swap(g, v, spec, base_dm=engine.dm)
+                b = engine.best_swap(v, spec)
                 assert _responses_equal(a, b), (idx, spec, v)
 
     def test_engine_scratch_survives_swaps(self):
@@ -85,7 +85,7 @@ class TestKernelOracle:
         for _ in range(6):
             moved = False
             for v in range(engine.n):
-                br = engine.best_swap(v, "sum", mode="batched")
+                br = engine.best_swap(v, "sum")
                 oracle = best_swap(engine.graph, v, "sum", mode="oracle")
                 assert _responses_equal(br, oracle), v
                 if br.swap is not None and not moved:
@@ -93,12 +93,6 @@ class TestKernelOracle:
                     moved = True
             if not moved:
                 break
-
-    def test_unknown_engine_mode_rejected(self):
-        from repro.errors import GraphError
-
-        with pytest.raises(GraphError):
-            DistanceEngine(star_graph(5)).best_swap(0, "sum", mode="psychic")
 
 
 class TestCertifyAtRest:

@@ -64,3 +64,27 @@ class TestCensus:
         (r,) = records
         if r.converged:
             assert r.verified_equilibrium is True
+
+
+class TestEndpointAudit:
+    @pytest.mark.parametrize("objective", ["sum", "max"])
+    def test_verified_slot_runs_one_apsp(self, monkeypatch, objective):
+        # The endpoint audit rides the dynamics engine's final matrix, so a
+        # verified census slot pays for exactly one APSP: the engine's start.
+        from repro.core import dynamics, engine, equilibrium
+        from repro.graphs import distance_matrix
+
+        calls = []
+
+        def counting(graph, *args, **kwargs):
+            calls.append(graph.n)
+            return distance_matrix(graph, *args, **kwargs)
+
+        for module in (dynamics, engine, equilibrium):
+            monkeypatch.setattr(module, "distance_matrix", counting)
+        (r,) = run_census(
+            [10], families=("sparse",), replicates=1,
+            objective=objective, root_seed=4,
+        )
+        assert r.converged and r.verified_equilibrium is True
+        assert calls == [10]

@@ -2,12 +2,14 @@
 
 The contract under test: a run killed at an arbitrary checkpoint boundary
 and resumed from its snapshot produces a :class:`DynamicsResult` equal to
-the uninterrupted run — same moves, traces, counters, terminal graph —
-for every ``engine_mode`` and cost-model family.  The kill is simulated
-deterministically: a :class:`CheckpointStore` subclass raises right
-*after* the Nth snapshot publishes, exactly the state a SIGKILL between
-two moves leaves on disk.
+the uninterrupted run — same moves, traces, counters, terminal graph — for
+both ``engine_mode`` values and every cost-model family.  The kill is
+simulated deterministically: a :class:`CheckpointStore` subclass raises
+right *after* the Nth snapshot publishes, exactly the state a SIGKILL
+between two moves leaves on disk.
 """
+
+import json
 
 import pytest
 
@@ -43,7 +45,7 @@ class _KillAfter(CheckpointStore):
 
 
 OBJECTIVES = ["sum", "max", "interest-sum:k=3,seed=0", "budget-sum:cap=3"]
-ENGINE_MODES = ["incremental", "batched", "oracle"]
+ENGINE_MODES = ["batched", "oracle"]
 
 
 def _dyn(objective, engine_mode) -> SwapDynamics:
@@ -100,19 +102,54 @@ class TestResumeBitIdentity:
         assert resumed == clean
 
 
-class TestEngineModeSplice:
-    def test_incremental_and_batched_share_checkpoints(self, tmp_path):
-        # The two engine-backed modes are bit-identical by contract, so a
-        # snapshot from one resumes under the other.
+@pytest.mark.parametrize("schedule", ["random", "greedy"])
+@pytest.mark.parametrize("objective", OBJECTIVES)
+class TestResumeAcrossSchedules:
+    """The engine's resume contract under the non-default schedules.
+
+    ``random`` must restore its RNG stream and quiet streak, ``greedy`` its
+    candidate order; both must land on the uninterrupted result.
+    """
+
+    def test_kill_mid_run_then_resume_matches_clean(
+        self, tmp_path, objective, schedule
+    ):
         initial = random_connected_gnm(9, 12, seed=3)
-        clean = _dyn("sum", "incremental").run(initial)
-        killer = _KillAfter(tmp_path / "slot.ckpt", kills_after=2)
+        dyn = SwapDynamics(
+            objective=objective, schedule=schedule, record=True,
+            max_steps=400, seed=7,
+        )
+        clean = dyn.run(initial)
+        assert clean.steps >= 2, "grid must exercise a multi-move run"
+        path = tmp_path / "slot.ckpt"
         with pytest.raises(_SimulatedKill):
-            _dyn("sum", "incremental").run(
+            dyn.run(
+                initial, checkpoint=_KillAfter(path, kills_after=2),
+                checkpoint_every=1,
+            )
+        resumed = dyn.run(initial, checkpoint=path, checkpoint_every=1)
+        assert resumed == clean
+        assert resumed.moves == clean.moves
+        assert resumed.activations == clean.activations
+
+
+class TestEngineModeSplice:
+    def test_engine_snapshots_record_accounting_not_mode(self, tmp_path):
+        # The config folds engine_mode to its accounting, so snapshots from
+        # any engine-backed mode (including since-deleted ones) resume.
+        initial = random_connected_gnm(9, 12, seed=3)
+        clean = _dyn("sum", "batched").run(initial)
+        path = tmp_path / "slot.ckpt"
+        killer = _KillAfter(path, kills_after=2)
+        with pytest.raises(_SimulatedKill):
+            _dyn("sum", "batched").run(
                 initial, checkpoint=killer, checkpoint_every=1
             )
+        config = json.loads(path.read_bytes())["config"]
+        assert config["accounting"] == "engine"
+        assert "engine_mode" not in config
         resumed = _dyn("sum", "batched").run(
-            initial, checkpoint=tmp_path / "slot.ckpt", checkpoint_every=1
+            initial, checkpoint=path, checkpoint_every=1
         )
         assert resumed == clean
 
@@ -125,7 +162,7 @@ class TestEngineModeSplice:
                 initial, checkpoint=killer, checkpoint_every=1
             )
         with pytest.raises(StoreIntegrityError):
-            _dyn("sum", "incremental").run(
+            _dyn("sum", "batched").run(
                 initial, checkpoint=tmp_path / "slot.ckpt", checkpoint_every=1
             )
 
@@ -133,22 +170,22 @@ class TestEngineModeSplice:
 class TestDeadlinePreemption:
     def test_expired_deadline_checkpoints_and_yields(self, tmp_path):
         initial = random_connected_gnm(9, 12, seed=3)
-        clean = _dyn("sum", "incremental").run(initial)
+        clean = _dyn("sum", "batched").run(initial)
         path = tmp_path / "slot.ckpt"
         with pytest.raises(DeadlineExceeded):
             # Monotonic instant 0.0 is always in the past: the run must
             # snapshot at the first move boundary and yield, not die dry.
-            _dyn("sum", "incremental").run(
+            _dyn("sum", "batched").run(
                 initial, checkpoint=path, deadline=0.0
             )
         assert path.exists()
-        resumed = _dyn("sum", "incremental").run(initial, checkpoint=path)
+        resumed = _dyn("sum", "batched").run(initial, checkpoint=path)
         assert resumed == clean
 
     def test_expired_deadline_without_store_still_typed(self):
         initial = random_connected_gnm(9, 12, seed=3)
         with pytest.raises(DeadlineExceeded):
-            _dyn("sum", "incremental").run(initial, deadline=0.0)
+            _dyn("sum", "batched").run(initial, deadline=0.0)
 
 
 class TestCheckpointConfiguration:
@@ -168,26 +205,26 @@ class TestCheckpointConfiguration:
         initial = random_tree(10, seed=5)
         killer = _KillAfter(tmp_path / "slot.ckpt", kills_after=1)
         with pytest.raises(_SimulatedKill):
-            _dyn("sum", "incremental").run(
+            _dyn("sum", "batched").run(
                 initial, checkpoint=killer, checkpoint_every=1
             )
         with pytest.raises(StoreIntegrityError):
-            _dyn("max", "incremental").run(
+            _dyn("max", "batched").run(
                 initial, checkpoint=tmp_path / "slot.ckpt", checkpoint_every=1
             )
 
     def test_corrupt_snapshot_restarts_clean(self, tmp_path):
         initial = random_tree(10, seed=5)
-        clean = _dyn("sum", "incremental").run(initial)
+        clean = _dyn("sum", "batched").run(initial)
         killer = _KillAfter(tmp_path / "slot.ckpt", kills_after=1)
         with pytest.raises(_SimulatedKill):
-            _dyn("sum", "incremental").run(
+            _dyn("sum", "batched").run(
                 initial, checkpoint=killer, checkpoint_every=1
             )
         path = tmp_path / "slot.ckpt"
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
-        resumed = _dyn("sum", "incremental").run(
+        resumed = _dyn("sum", "batched").run(
             initial, checkpoint=path, checkpoint_every=1
         )
         assert resumed == clean  # quarantined + restarted from scratch

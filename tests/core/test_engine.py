@@ -1,10 +1,11 @@
 """DistanceEngine cross-validation: the fast paths vs the seed oracles.
 
-Every fast path introduced by the incremental engine — removal matrices,
-engine-backed best responses, repair-mode audits, parallel audits, and the
-incrementally maintained matrix inside the dynamics loop — is compared here
-against the corresponding rebuild/copy oracle on the deterministic battery
-(trees, sparse and dense G(n, m), bridges, n ≤ 3) plus targeted scenarios.
+Every fast path introduced by the incremental engine — removal matrices off
+the engine's cached base, engine-backed best responses, repair-mode audits,
+parallel audits, and the incrementally maintained matrix inside the
+dynamics loop — is compared here against the corresponding rebuild/copy
+oracle on the deterministic battery (trees, sparse and dense G(n, m),
+bridges, n ≤ 3) plus targeted scenarios.
 Agreement must be exact, tie-breaking included.
 """
 
@@ -31,6 +32,7 @@ from repro.graphs import (
     CSRGraph,
     cycle_graph,
     distance_matrix,
+    is_connected,
     path_graph,
     random_connected_gnm,
     random_tree,
@@ -49,7 +51,8 @@ class TestRemovalMatrix:
         engine = DistanceEngine(g)
         for edge in g.iter_edges():
             oracle = removal_distance_matrix(g, edge, mode="rebuild")
-            assert np.array_equal(engine.removal_matrix(*edge), oracle)
+            repaired = removal_distance_matrix(g, edge, base_dm=engine.dm)
+            assert np.array_equal(repaired, oracle)
 
     def test_default_mode_is_repair_and_agrees(self):
         g = random_connected_gnm(12, 20, seed=3)
@@ -101,6 +104,15 @@ class TestBestSwap:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             best_swap(path_graph(4), 0, mode="psychic")
+
+    def test_single_engine_path(self):
+        # The engine has one best-response path and best_swap takes no
+        # engine: neither accepts the knobs of the deleted mode.
+        g = path_graph(5)
+        with pytest.raises(TypeError):
+            DistanceEngine(g).best_swap(0, "sum", mode="batched")
+        with pytest.raises(TypeError):
+            best_swap(g, 0, "sum", engine=DistanceEngine(g))
 
 
 class TestAuditModes:
@@ -203,19 +215,10 @@ class TestIncrementalApply:
         g = path_graph(6)
         engine = DistanceEngine(g)
         engine.apply_swap(Swap(0, 1, 5))  # relocate the end edge
-        assert engine.is_connected()
+        assert is_connected(engine.graph)
         assert np.array_equal(
             engine.dm, lift_distances(distance_matrix(engine.graph))
         )
-
-    def test_cost_views(self):
-        g = star_graph(7)
-        engine = DistanceEngine(g)
-        dm = lift_distances(distance_matrix(g))
-        assert engine.cost(0, "sum") == float(dm[0].sum())
-        assert engine.cost(1, "max") == float(dm[1].max())
-        assert np.array_equal(engine.sum_costs(), dm.sum(axis=1))
-        assert np.array_equal(engine.eccentricities(), dm.max(axis=1))
 
     def test_rejects_non_graph(self):
         from repro.errors import GraphError
@@ -226,7 +229,7 @@ class TestIncrementalApply:
 
 class TestDynamicsEngineModes:
     @pytest.mark.parametrize("schedule", ["round_robin", "random", "greedy"])
-    def test_incremental_reaches_verified_equilibrium(self, schedule):
+    def test_engine_reaches_verified_equilibrium(self, schedule):
         g = random_tree(12, seed=4)
         res = SwapDynamics(
             objective="sum", schedule=schedule, seed=2
@@ -235,19 +238,19 @@ class TestDynamicsEngineModes:
         assert is_sum_equilibrium(res.graph, mode="rebuild")
 
     @pytest.mark.parametrize("objective", ["sum", "max"])
-    def test_oracle_and_incremental_agree_on_equilibria(self, objective):
+    def test_oracle_and_batched_agree_on_equilibria(self, objective):
         from repro.core import is_max_equilibrium
 
         g = random_connected_gnm(10, 14, seed=6)
         check = is_sum_equilibrium if objective == "sum" else is_max_equilibrium
-        for mode in ("incremental", "oracle"):
+        for mode in ("batched", "oracle"):
             res = SwapDynamics(
                 objective=objective, seed=1, engine_mode=mode
             ).run(g)
             assert res.converged
             assert check(res.graph)
 
-    def test_incremental_is_deterministic(self):
+    def test_engine_is_deterministic(self):
         g = cycle_graph(9)
         a = SwapDynamics(objective="sum", schedule="random", seed=11).run(g)
         b = SwapDynamics(objective="sum", schedule="random", seed=11).run(g)

@@ -148,7 +148,7 @@ def test_engine_scratch_follows_operand_dtype():
     engine = DistanceEngine(g)
     for spec in ("sum", "max"):
         assert _responses_equal(
-            engine.best_swap(255, spec, mode="batched"),
+            engine.best_swap(255, spec),
             best_swap(g, 255, spec, mode="repair"),
         )
     assert engine._kernel_scratch()[1].dtype == np.uint16
@@ -158,6 +158,6 @@ def test_engine_scratch_follows_operand_dtype():
     for spec in ("sum", "max"):
         for v in (0, 255):
             assert _responses_equal(
-                engine.best_swap(v, spec, mode="batched"),
+                engine.best_swap(v, spec),
                 best_swap(g2, v, spec, mode="repair"),
             )

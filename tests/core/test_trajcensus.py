@@ -15,11 +15,11 @@ from repro.core.equilibrium import is_equilibrium
 from repro.core.trajcensus import (
     TRAJ_CONFIG_KEY,
     TrajectoryRecord,
-    graph_fingerprint,
     run_trajectory_census,
     trajectory_sweep,
 )
 from repro.graphs import CSRGraph, path_graph
+from repro.io.hashing import graph_fingerprint
 
 # A small grid that exercises both outcomes: the sum game converges from
 # every family; the interest variant cycles from dense starts.
@@ -141,34 +141,13 @@ class TestFingerprint:
         assert by_fp  # smoke: fingerprints group converged runs
 
 
-class TestEngineModeInvariance:
-    """engine_mode is an execution detail: records must be bit-identical.
+class TestEngineModeAccounting:
+    """The stream header records activation accounting, not engine_mode.
 
-    (Between the engine-backed modes; the seed oracle path counts
-    activations differently — full sweeps instead of dirty-set skips — so
-    it is not part of the record-equality contract.)
+    The seed oracle path counts activations differently — full sweeps
+    instead of dirty-set skips — so its streams must not splice with
+    engine-written ones.
     """
-
-    def test_records_identical_across_engine_modes(self, records):
-        assert (
-            run_trajectory_census(engine_mode="incremental", **KWARGS)
-            == records
-        )
-
-    def test_resume_across_engine_modes(self, tmp_path):
-        # engine_mode is deliberately absent from the stream's config
-        # header (like workers), so a fleet streamed under one engine can
-        # be resumed under another without a config mismatch.
-        path = tmp_path / "traj.jsonl"
-        full = run_trajectory_census(
-            engine_mode="incremental", jsonl_path=path, **KWARGS
-        )
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:3]) + "\n")  # header + 2 records
-        resumed = run_trajectory_census(
-            engine_mode="batched", jsonl_path=path, resume=True, **KWARGS
-        )
-        assert resumed == full
 
     def test_resume_rejects_oracle_accounting_mismatch(self, tmp_path):
         # The oracle path counts activations by full sweeps — resuming an
@@ -176,7 +155,7 @@ class TestEngineModeInvariance:
         # activation columns, so the header records the accounting.
         path = tmp_path / "traj.jsonl"
         run_trajectory_census(
-            engine_mode="incremental", jsonl_path=path, **KWARGS
+            engine_mode="batched", jsonl_path=path, **KWARGS
         )
         with pytest.raises(ValueError):
             run_trajectory_census(

@@ -40,6 +40,15 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["experiment", "run", "nope"])
 
+    def test_deleted_engine_mode_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "run", "trajectory", "--n", "8",
+                  "--engine-mode", "incremental",
+                  "--out", str(tmp_path / "traj.jsonl")])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "traj.jsonl").exists()
+
     def test_run_resume_flag_continues(self, tmp_path, capsys):
         out = tmp_path / "census.jsonl"
         assert run_tiny(out) == 0
@@ -141,28 +150,6 @@ class TestResumeVerb:
                      "--out", str(out)]) == 0
         assert out.read_bytes() == full
         assert summarize_stream(out).failures == []
-
-
-class TestDeprecatedShims:
-    @pytest.mark.parametrize("script, name", [
-        ("census_fleet.py", "census"),
-        ("trajectory_fleet.py", "trajectory"),
-    ])
-    def test_shim_forwards_to_experiment_cli(self, script, name, capsys):
-        import importlib.util
-        from pathlib import Path
-
-        spec = importlib.util.spec_from_file_location(
-            f"shim_{name}",
-            Path(__file__).parents[2] / "scripts" / script,
-        )
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-        with pytest.raises(SystemExit):
-            mod.main(["--help"])
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "--retry-failed" in captured.out
 
 
 class TestStatusJson:

@@ -51,11 +51,3 @@ def test_edge_order_and_orientation_invariant():
     a = CSRGraph(4, [(0, 1), (1, 2), (2, 3)])
     b = CSRGraph(4, [(3, 2), (2, 1), (1, 0)])
     assert graph_fingerprint(a) == graph_fingerprint(b)
-
-
-def test_trajcensus_reexport_is_the_same_function():
-    # The compatibility shim must keep the census importing this exact
-    # implementation — a fork would let the two identities drift apart.
-    from repro.core import trajcensus
-
-    assert trajcensus.graph_fingerprint is graph_fingerprint
